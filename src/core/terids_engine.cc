@@ -140,9 +140,9 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     // precomputed neighbor lists. This is the "simultaneous traversal" of
     // Section 5.3: each distance is computed once per arrival (probe-side)
     // or once per engine lifetime (domain-side), not once per rule.
-    std::unordered_map<ValueId, double> freq;
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
+      counter_.Reset(repo_->domain_size(j));
       // Union bands per attribute.
       const int d = repo_->num_attributes();
       std::vector<AttrBand> union_bands(d);
@@ -178,16 +178,16 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
               continue;
             }
             // Candidate set cand(s[A_j]): a binary-searched slice of the
-            // sample value's distance-sorted neighbor list.
+            // sample value's neighbourhood (near list + implicit tail).
             neighborhoods_.AccumulateRange(
                 j, repo_->sample_value_id(sample_idx, j), rule.dep_interval,
-                &freq);
+                &counter_);
           }
         }
       }
     }
     std::vector<ImputedTuple::Candidate> cands =
-        FinalizeCandidates(freq, config_.max_candidates_per_attr);
+        FinalizeCandidates(counter_, config_.max_candidates_per_attr);
     if (!cands.empty()) {
       ImputedTuple::ImputedAttr ia;
       ia.attr = j;
@@ -199,21 +199,32 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
 }
 
 Status TerIdsEngine::AbsorbRepositoryBatch(const std::vector<Record>& batch) {
+  // Strictly per tuple: AbsorbNewSample scans every sample already in R, so
+  // adding the whole batch first would count each new pair twice. The
+  // neighbourhoods pick up new domain values on their next lookup.
+  RuleMiner miner(repo_, MinerOptions{});
+  Status status = Status::Ok();
+  bool widened = false;
   for (const Record& record : batch) {
     const size_t sample_idx = repo_->num_samples();
-    TERIDS_RETURN_IF_ERROR(repo_->AddSample(record));
+    status = repo_->AddSample(record);
+    if (!status.ok()) {
+      break;
+    }
     dr_index_.InsertSample(sample_idx);
-    // New domain values invalidate the cached value neighborhoods.
-    neighborhoods_.Invalidate();
-    // Widen rules the new sample violates; rebuild index entries of the
-    // widened rules (dependent interval is a leaf aggregate).
-    RuleMiner miner(repo_, MinerOptions{});
-    const int widened = miner.AbsorbNewSample(sample_idx, &rules_);
-    if (widened > 0) {
-      cdd_index_.Build();  // Aggregates changed; rebuild the lattice trees.
+    widened |= miner.AbsorbNewSample(sample_idx, &rules_) > 0;
+  }
+  if (widened) {
+    // Aggregates changed: rebuild the lattice trees once, and let the
+    // neighbourhoods reach the widened dependent intervals.
+    cdd_index_.Build();
+    const std::vector<double> radius = ValueNeighborhoods::MaxRadiusPerAttr(
+        rules_, repo_->num_attributes());
+    for (int x = 0; x < repo_->num_attributes(); ++x) {
+      neighborhoods_.WidenRadius(x, radius[x]);
     }
   }
-  return Status::Ok();
+  return status;
 }
 
 }  // namespace terids

@@ -64,6 +64,7 @@ class TerIdsEngine : public PipelineBase {
   CddIndex cdd_index_;
   DrIndex dr_index_;
   ValueNeighborhoods neighborhoods_;
+  CandidateCounter counter_;
   /// CDD-selection memoization probe: determinant signatures seen since the
   /// last BeginBatch, reported via CostBreakdown::cdd_memo_{queries,
   /// repeats}. Only maintained when EngineConfig::cdd_memo_probe is set —

@@ -56,6 +56,34 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
   }
 }
 
+namespace {
+
+// Deterministic order: probability descending, ValueId ascending. The vid
+// tie-break makes the cap cut identical regardless of accumulation order,
+// so indexed and linear imputation produce byte-identical tuples.
+bool CandidateBefore(const ImputedTuple::Candidate& a,
+                     const ImputedTuple::Candidate& b) {
+  return a.prob != b.prob ? a.prob > b.prob : a.vid < b.vid;
+}
+
+// Renormalizes over the top candidates a cap retained: the truncated
+// distribution becomes the imputation model. Without this,
+// capping strands probability mass and a correctly-imputed pair whose
+// candidates split the vote can never clear the alpha threshold.
+void Renormalize(std::vector<ImputedTuple::Candidate>* kept_out) {
+  double kept = 0.0;
+  for (const ImputedTuple::Candidate& c : *kept_out) {
+    kept += c.prob;
+  }
+  if (kept > 0.0) {
+    for (ImputedTuple::Candidate& c : *kept_out) {
+      c.prob /= kept;
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<ImputedTuple::Candidate> FinalizeCandidates(
     const std::unordered_map<ValueId, double>& freq, int max_candidates) {
   std::vector<ImputedTuple::Candidate> out;
@@ -71,29 +99,69 @@ std::vector<ImputedTuple::Candidate> FinalizeCandidates(
   for (const auto& [vid, f] : freq) {
     out.push_back({vid, f / total});
   }
-  // Deterministic order: probability descending, ValueId ascending. The
-  // vid tie-break makes the cap cut identical regardless of accumulation
-  // order, so indexed and linear imputation produce byte-identical tuples.
-  std::sort(out.begin(), out.end(),
-            [](const ImputedTuple::Candidate& a,
-               const ImputedTuple::Candidate& b) {
-              return a.prob != b.prob ? a.prob > b.prob : a.vid < b.vid;
-            });
+  std::sort(out.begin(), out.end(), CandidateBefore);
   if (static_cast<int>(out.size()) > max_candidates) {
-    // Keep the top candidates and renormalize over the retained set: the
-    // truncated distribution becomes the imputation model. Without this,
-    // capping strands probability mass and a correctly-imputed pair whose
-    // candidates split the vote can never clear the alpha threshold.
     out.resize(max_candidates);
-    double kept = 0.0;
-    for (const ImputedTuple::Candidate& c : out) {
-      kept += c.prob;
+    Renormalize(&out);
+  }
+  return out;
+}
+
+std::vector<ImputedTuple::Candidate> FinalizeCandidates(
+    const CandidateCounter& counter, int max_candidates) {
+  std::vector<ImputedTuple::Candidate> out;
+  const int64_t tail = counter.tail();
+  const size_t n = counter.domain_size();
+  // Exact integer total, so its double equals the map path's sum.
+  int64_t total = tail * static_cast<int64_t>(n);
+  for (ValueId v : counter.touched()) {
+    total += counter.adj(v);
+  }
+  if (total == 0) {
+    return out;
+  }
+  const double dtotal = static_cast<double>(total);
+  // Values off the tail count, sorted; the rest share prob tail/total and
+  // already come in ValueId order.
+  std::vector<ImputedTuple::Candidate> off_tail;
+  size_t num_off_tail = 0;
+  for (ValueId v : counter.touched()) {
+    const int64_t adj = counter.adj(v);
+    if (adj == 0) {
+      continue;
     }
-    if (kept > 0.0) {
-      for (ImputedTuple::Candidate& c : out) {
-        c.prob /= kept;
-      }
+    ++num_off_tail;
+    if (tail + adj > 0) {
+      off_tail.push_back({v, static_cast<double>(tail + adj) / dtotal});
     }
+  }
+  std::sort(off_tail.begin(), off_tail.end(), CandidateBefore);
+  const size_t num_tail = tail > 0 ? n - num_off_tail : 0;
+  const size_t num = off_tail.size() + num_tail;
+  const size_t cap = static_cast<size_t>(std::max(max_candidates, 0));
+  const size_t keep = std::min(num, cap);
+  const double tail_prob = static_cast<double>(tail) / dtotal;
+  out.reserve(keep);
+  size_t i = 0;
+  ValueId v = 0;
+  auto next_tail = [&] {
+    while (v < n && counter.adj(v) != 0) {
+      ++v;
+    }
+  };
+  next_tail();
+  while (out.size() < keep) {
+    const bool tail_left = num_tail > 0 && v < n;
+    if (i < off_tail.size() &&
+        (!tail_left || CandidateBefore(off_tail[i], {v, tail_prob}))) {
+      out.push_back(off_tail[i++]);
+    } else {
+      out.push_back({v++, tail_prob});
+      next_tail();
+    }
+  }
+  if (num > cap) {
+    Renormalize(&out);
   }
   return out;
 }

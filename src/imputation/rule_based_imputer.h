@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "imputation/candidate_counter.h"
 #include "imputation/imputer.h"
 #include "repo/repository.h"
 #include "rules/rule.h"
@@ -64,6 +65,13 @@ void AccumulateCandidates(const Repository& repo, const CddRule& rule,
 /// candidate list of Equation (4), keeping the top `max_candidates`.
 std::vector<ImputedTuple::Candidate> FinalizeCandidates(
     const std::unordered_map<ValueId, double>& freq, int max_candidates);
+
+/// The same list from a dense counter, in closed form: the untouched values
+/// all carry count `tail`, so they are merged in ascending-ValueId order
+/// instead of being sorted. Bit-identical to the map overload on the
+/// written-out counts.
+std::vector<ImputedTuple::Candidate> FinalizeCandidates(
+    const CandidateCounter& counter, int max_candidates);
 
 }  // namespace terids
 

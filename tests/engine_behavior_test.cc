@@ -8,6 +8,7 @@
 
 #include "core/terids_engine.h"
 #include "er/probability.h"
+#include "imputation/rule_based_imputer.h"
 #include "rules/rule_miner.h"
 #include "synopsis/sharded_er_grid.h"
 #include "test_util.h"
@@ -239,6 +240,57 @@ TEST_F(EngineBehaviorTest, SigSaturationCountersTrackFilterWork) {
     EXPECT_EQ(stats->instance_pruned, off.instance_pruned);
     EXPECT_EQ(stats->refined, off.refined);
     EXPECT_EQ(stats->matched, off.matched);
+  }
+}
+
+/// Exposes the engine's imputation step for a value-by-value comparison with
+/// the linear oracle.
+class ImputeProbe : public TerIdsEngine {
+ public:
+  using TerIdsEngine::TerIdsEngine;
+  using TerIdsEngine::Impute;
+};
+
+TEST_F(EngineBehaviorTest, AbsorbWidensNeighborhoodRadius) {
+  // Symptoms within 0.4 -> the same diagnosis: a neighbourhood radius of 0.
+  CddRule rule;
+  rule.dependent = 2;
+  rule.det_mask = 1u << 1;
+  rule.determinants = {{1, AttrConstraint::MakeInterval(0.0, 0.4)}};
+  rule.dep_interval = Interval::Of(0.0, 0.0);
+  rule.support = 1;
+  ImputeProbe engine(world_.repo.get(), config_, 2, {rule});
+  const Record probe =
+      world_.Make(1, {"male", "loss of weight", "-", "drug therapy"});
+  // Caches the near lists at the old radius.
+  ASSERT_FALSE(
+      engine.Impute(probe, ProbeCoords::Compute(probe, *world_.repo), nullptr)
+          .empty());
+  // "diabetes type two" is 2/3 from "diabetes": the absorb widens the rule's
+  // dependent interval past the radius, but not to 1. The batch's second,
+  // incomplete tuple is rejected; the first one's widening must still land.
+  const std::vector<Record> batch = {
+      world_.Make(2000, {"male", "loss of weight blurred vision",
+                         "diabetes type two", "drug therapy"}),
+      world_.Make(2001, {"male", "fever", "-", "rest"})};
+  EXPECT_FALSE(engine.AbsorbRepositoryBatch(batch).ok());
+  ASSERT_GT(engine.rules()[0].dep_interval.hi, 0.6);
+  ASSERT_LT(engine.rules()[0].dep_interval.hi, 1.0);
+
+  RuleImputerOptions opts;
+  opts.max_candidates_per_attr = config_.max_candidates_per_attr;
+  opts.use_coord_filter = false;
+  RuleBasedImputer oracle(world_.repo.get(), engine.rules(), opts);
+  const auto got =
+      engine.Impute(probe, ProbeCoords::Compute(probe, *world_.repo), nullptr);
+  const auto want = oracle.ImputeRecord(probe, nullptr);
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_EQ(want[0].candidates.size(), 2u);  // diabetes and its new variant
+  ASSERT_EQ(got[0].candidates.size(), want[0].candidates.size());
+  for (size_t i = 0; i < want[0].candidates.size(); ++i) {
+    EXPECT_EQ(got[0].candidates[i].vid, want[0].candidates[i].vid);
+    EXPECT_EQ(got[0].candidates[i].prob, want[0].candidates[i].prob);
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "imputation/constraint_imputer.h"
 #include "imputation/rule_based_imputer.h"
 #include "imputation/value_neighborhoods.h"
@@ -121,15 +124,187 @@ TEST(ValueNeighborhoodsTest, SlicesMatchBruteForce) {
   }
 }
 
-TEST(ValueNeighborhoodsTest, InvalidateRebuildsAfterDomainGrowth) {
+/// Written-out frequencies of a counter: count(v) = tail + adj[v].
+std::vector<int64_t> CounterCounts(const CandidateCounter& counter) {
+  std::vector<int64_t> counts(counter.domain_size(), counter.tail());
+  for (ValueId v : counter.touched()) {
+    counts[v] += counter.adj(v);
+  }
+  return counts;
+}
+
+std::unordered_map<ValueId, double> ToFreqMap(
+    const std::vector<int64_t>& counts) {
+  std::unordered_map<ValueId, double> freq;
+  for (ValueId v = 0; v < counts.size(); ++v) {
+    if (counts[v] > 0) {
+      freq[v] = static_cast<double>(counts[v]);
+    }
+  }
+  return freq;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameCandidates(const std::vector<ImputedTuple::Candidate>& a,
+                          const std::vector<ImputedTuple::Candidate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].vid, b[i].vid) << "rank " << i;
+    EXPECT_EQ(Bits(a[i].prob), Bits(b[i].prob)) << "rank " << i;
+  }
+}
+
+TEST(ValueNeighborhoodsTest, DomainGrowthReachesCoveringSlices) {
   ToyWorld world = MakeHealthWorld();
+  const int attr = 2;
   std::vector<double> radius(world.repo->num_attributes(), 1.0);
-  ValueNeighborhoods neighborhoods(world.repo.get(), radius);
-  const size_t before = neighborhoods.Neighborhood(2, 0).size();
+  // `warm` has every list cached before the domain grows and relies on the
+  // lookup-time growth check; `invalidated` drops its lists explicitly.
+  ValueNeighborhoods warm(world.repo.get(), radius);
+  ValueNeighborhoods invalidated(world.repo.get(), radius);
+  const std::vector<Interval> deps = {
+      Interval::Of(0.0, 0.0), Interval::Of(0.0, 0.7), Interval::Of(0.5, 0.8),
+      Interval::Of(0.9, 1.0), Interval::Of(0.0, 1.0)};
+  const size_t old_size = world.repo->domain_size(attr);
+  for (ValueId center = 0; center < old_size; ++center) {
+    std::unordered_map<ValueId, double> freq;
+    warm.AccumulateRange(attr, center, deps.back(), &freq);
+    invalidated.AccumulateRange(attr, center, deps.back(), &freq);
+  }
+  // One value sharing a token with "diabetes", one sharing none.
   Tokenizer tok(world.dict.get());
-  world.repo->RegisterValue(2, tok.Tokenize("brand new diagnosis"), "new");
-  neighborhoods.Invalidate();
-  EXPECT_EQ(neighborhoods.Neighborhood(2, 0).size(), before + 1);
+  world.repo->RegisterValue(attr, tok.Tokenize("diabetes type two"), "t2");
+  world.repo->RegisterValue(attr, tok.Tokenize("brand new diagnosis"), "new");
+  invalidated.Invalidate();
+  const size_t n = world.repo->domain_size(attr);
+  for (ValueNeighborhoods* neighborhoods : {&warm, &invalidated}) {
+    for (ValueId center = 0; center < n; ++center) {
+      for (const Interval& dep : deps) {
+        std::unordered_map<ValueId, double> freq;
+        neighborhoods->AccumulateRange(attr, center, dep, &freq);
+        for (ValueId v = 0; v < n; ++v) {
+          const double dist = JaccardDistance(
+              world.repo->value_tokens(attr, center),
+              world.repo->value_tokens(attr, v));
+          EXPECT_EQ(freq.count(v) > 0, dep.Contains(dist))
+              << "center=" << center << " v=" << v << " dist=" << dist;
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueNeighborhoodsTest, CounterMapAndBruteForceAgree) {
+  ToyWorld world = MakeHealthWorld();
+  const int d = world.repo->num_attributes();
+  // Every attribute gets a token-empty value, so empty centres are covered.
+  for (int x = 0; x < d; ++x) {
+    world.repo->RegisterValue(x, TokenSet(), "");
+  }
+  std::mt19937_64 rng(20210620);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const double r : {0.6, 1.0}) {
+    ValueNeighborhoods neighborhoods(world.repo.get(),
+                                     std::vector<double>(d, r));
+    CandidateCounter counter;
+    for (int x = 0; x < d; ++x) {
+      const size_t n = world.repo->domain_size(x);
+      for (int trial = 0; trial < 40; ++trial) {
+        counter.Reset(n);
+        std::unordered_map<ValueId, double> freq;
+        std::vector<int64_t> brute(n, 0);
+        // Several slices per vote, as one imputation accumulates them.
+        for (int k = 0; k < 4; ++k) {
+          const ValueId center = static_cast<ValueId>(rng() % n);
+          double lo = trial % 3 == 0 ? 0.0 : unit(rng) * r;
+          double hi = trial % 4 == 0 ? r : unit(rng) * r;
+          if (lo > hi) std::swap(lo, hi);
+          const Interval dep = Interval::Of(lo, hi);
+          neighborhoods.AccumulateRange(x, center, dep, &counter);
+          neighborhoods.AccumulateRange(x, center, dep, &freq);
+          for (ValueId v = 0; v < n; ++v) {
+            brute[v] += dep.Contains(JaccardDistance(
+                world.repo->value_tokens(x, center),
+                world.repo->value_tokens(x, v)));
+          }
+        }
+        const std::vector<int64_t> counts = CounterCounts(counter);
+        for (ValueId v = 0; v < n; ++v) {
+          EXPECT_EQ(counts[v], brute[v]) << "attr=" << x << " v=" << v;
+          const auto it = freq.find(v);
+          EXPECT_EQ(it == freq.end() ? 0 : static_cast<int64_t>(it->second),
+                    brute[v])
+              << "attr=" << x << " v=" << v;
+        }
+        for (int cap : {3, 1000}) {
+          ExpectSameCandidates(FinalizeCandidates(counter, cap),
+                               FinalizeCandidates(freq, cap));
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueNeighborhoodsTest, WidenRadiusExtendsSlices) {
+  ToyWorld world = MakeHealthWorld();
+  const int attr = 2;
+  Tokenizer tok(world.dict.get());
+  const ValueId t2 =
+      world.repo->RegisterValue(attr, tok.Tokenize("diabetes type two"), "t2");
+  const ValueId diabetes = world.repo->sample_value_id(0, attr);
+  ValueNeighborhoods neighborhoods(
+      world.repo.get(), std::vector<double>(world.repo->num_attributes(), 0.5));
+  const Interval dep = Interval::Of(0.0, 0.7);
+  std::unordered_map<ValueId, double> freq;
+  neighborhoods.AccumulateRange(attr, diabetes, dep, &freq);
+  EXPECT_EQ(freq.count(t2), 0u);  // 2/3 away: beyond the old radius.
+  neighborhoods.WidenRadius(attr, 0.7);
+  freq.clear();
+  neighborhoods.AccumulateRange(attr, diabetes, dep, &freq);
+  EXPECT_EQ(freq.count(t2), 1u);
+}
+
+TEST(FinalizeCandidatesTest, CounterMatchesMapBitForBit) {
+  struct Case {
+    const char* name;
+    size_t domain;
+    int64_t tail;
+    std::vector<std::pair<ValueId, int64_t>> adds;
+    int cap;
+  };
+  const std::vector<Case> cases = {
+      {"uncapped", 9, 0, {{4, 3}, {1, 1}, {7, 3}, {2, 2}}, 16},
+      {"capped and renormalised", 9, 0, {{4, 3}, {1, 1}, {7, 3}, {2, 2}}, 2},
+      {"tail, touched net zero", 12, 2,
+       {{3, 1}, {3, -1}, {5, -2}, {8, 4}, {0, -1}, {11, 1}}, 16},
+      {"tail, capped inside the tail run", 12, 1,
+       {{3, 2}, {5, -1}, {6, -1}, {9, 1}}, 5},
+      {"tail only", 7, 3, {}, 4},
+      {"tail, every value off the tail", 3, 1, {{0, 1}, {1, -1}, {2, 2}}, 8},
+      {"empty", 5, 0, {{2, 1}, {2, -1}}, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CandidateCounter counter;
+    counter.Reset(c.domain);
+    for (int64_t i = 0; i < c.tail; ++i) {
+      counter.AddTail();
+    }
+    for (const auto& [vid, delta] : c.adds) {
+      counter.Add(vid, delta);
+    }
+    const std::unordered_map<ValueId, double> freq =
+        ToFreqMap(CounterCounts(counter));
+    const std::vector<ImputedTuple::Candidate> closed =
+        FinalizeCandidates(counter, c.cap);
+    ExpectSameCandidates(closed, FinalizeCandidates(freq, c.cap));
+    EXPECT_EQ(closed.empty(), freq.empty());
+  }
 }
 
 TEST(ConstraintImputerTest, UsesMostRecentCompleteDonor) {

@@ -1,10 +1,7 @@
 #include "core/terids_engine.h"
 
-#include <unordered_map>
-
 #include "imputation/rule_based_imputer.h"
 #include "rules/rule_miner.h"
-#include "util/hash.h"
 #include "util/stopwatch.h"
 
 namespace terids {
@@ -50,82 +47,32 @@ std::vector<AttrBand> TerIdsEngine::BandsForRule(const CddRule& rule,
   return bands;
 }
 
-void TerIdsEngine::BeginBatch() {
-  if (config_.cdd_memo_probe) {
-    batch_cdd_sigs_.clear();
-  }
-}
-
-uint64_t TerIdsEngine::DeterminantSignature(const Record& r,
-                                            int missing_attr) {
-  // FNV-1a over the missing attribute index and every non-missing
-  // attribute's (index, token ids). SelectRules reads nothing else from the
-  // arrival, so equal signatures imply an identical selection result.
-  uint64_t h = kFnv1aOffsetBasis;
-  h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(missing_attr)));
-  for (int a = 0; a < r.num_attributes(); ++a) {
-    const AttrValue& value = r.values[a];
-    if (value.missing) {
-      continue;
-    }
-    h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(a)) |
-                        (1ULL << 32));
-    for (Token t : value.tokens) {
-      h = Fnv1aMix(h, static_cast<uint64_t>(static_cast<uint32_t>(t)));
-    }
-  }
-  return h;
-}
-
 std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     const Record& r, const ProbeCoords& pc, CostBreakdown* cost) {
   std::vector<ImputedTuple::ImputedAttr> result;
-  // The index join evaluates each (probe attribute, sample) Jaccard
-  // distance at most once per arrival, no matter how many selected rules
-  // constrain that attribute — this memo is the "simultaneous traversal"
-  // payoff of Section 5.3 that the unindexed baselines do not get.
-  std::unordered_map<uint64_t, double> dist_memo;
-  auto probe_sample_dist = [&](int attr, size_t sample_idx) {
-    const uint64_t key = (static_cast<uint64_t>(sample_idx) << 5) |
-                         static_cast<uint64_t>(attr);
-    auto it = dist_memo.find(key);
-    if (it != dist_memo.end()) {
-      return it->second;
-    }
-    const double dist = JaccardDistance(
-        r.values[attr].tokens, repo_->sample(sample_idx).values[attr].tokens);
-    dist_memo.emplace(key, dist);
-    return dist;
-  };
+  // Interval determinants read the probe-sample distance from the
+  // neighbourhoods' probe tables (DESIGN.md §15): one posting walk per
+  // (arrival, determinant attribute) answers every retrieved sample under
+  // every selected rule and missing attribute, which is the "simultaneous
+  // traversal" payoff of Section 5.3 that the unindexed baselines, calling
+  // CddRule::DeterminantsSatisfied, do not get.
   auto determinants_satisfied = [&](const CddRule& rule, size_t sample_idx) {
     for (const auto& [attr, constraint] : rule.determinants) {
+      const ValueId svid = repo_->sample_value_id(sample_idx, attr);
       if (constraint.kind == AttrConstraint::Kind::kConstant) {
         // Probe-side equality was verified by the CDD-index; check the
         // sample side.
-        if (repo_->sample_value_id(sample_idx, attr) !=
-            constraint.constant_vid) {
+        if (svid != constraint.constant_vid) {
           return false;
         }
-      } else if (!constraint.interval.Contains(
-                     probe_sample_dist(attr, sample_idx))) {
+      } else if (!constraint.interval.Contains(neighborhoods_.ProbeDistance(
+                     attr, r.values[attr].tokens, svid))) {
         return false;
       }
     }
     return true;
   };
   for (int j : r.MissingAttributes()) {
-    // Memoization probe: would a batch-scoped cache keyed by determinant
-    // signature have answered this selection? Counted only — the selection
-    // still runs, so results are unchanged while CostBreakdown reports the
-    // would-be hit rate. Gated off by default: the measured rate was near
-    // zero on every profile (ROADMAP), so the hot loop skips the signature
-    // hashing unless a run explicitly re-measures.
-    if (config_.cdd_memo_probe && cost != nullptr) {
-      cost->cdd_memo_queries += 1.0;
-      if (!batch_cdd_sigs_.insert(DeterminantSignature(r, j)).second) {
-        cost->cdd_memo_repeats += 1.0;
-      }
-    }
     // CDD selection via the CDD-index.
     std::vector<int> selected;
     {
@@ -135,11 +82,12 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
     // Sample retrieval: ONE pruned DR-index pass shared by all selected
     // rules. The per-attribute filter is the union of the rules' coordinate
     // bands (sound whenever every selected rule constrains the attribute);
-    // retrieved samples are verified against each rule with memoized
-    // probe-sample distances, and candidate values come from the
-    // precomputed neighbor lists. This is the "simultaneous traversal" of
-    // Section 5.3: each distance is computed once per arrival (probe-side)
-    // or once per engine lifetime (domain-side), not once per rule.
+    // retrieved samples are verified against each rule by probe-table
+    // lookups, and candidate values come from the cached near lists. This
+    // is the "simultaneous traversal" of Section 5.3: the probe's postings
+    // are walked once per arrival and attribute, and a domain value's near
+    // list is built once per engine lifetime (until the domain grows next to
+    // it), never once per rule or sample.
     {
       ScopedTimer timer(cost ? &cost->impute_seconds : nullptr);
       counter_.Reset(repo_->domain_size(j));
@@ -195,6 +143,7 @@ std::vector<ImputedTuple::ImputedAttr> TerIdsEngine::Impute(
       result.push_back(std::move(ia));
     }
   }
+  neighborhoods_.EndProbe();
   return result;
 }
 

@@ -10,6 +10,7 @@ ValueNeighborhoods::ValueNeighborhoods(const Repository* repo,
   TERIDS_CHECK(repo != nullptr);
   TERIDS_CHECK(static_cast<int>(radius_.size()) == repo->num_attributes());
   attrs_.resize(radius_.size());
+  probes_.resize(radius_.size());
 }
 
 std::vector<double> ValueNeighborhoods::MaxRadiusPerAttr(
@@ -170,6 +171,39 @@ void ValueNeighborhoods::WidenRadius(int attr, double hi) {
   AttrIndex& ix = attrs_[attr];
   for (ValueId v = 0; v < ix.built.size(); ++v) {
     Drop(&ix, v);
+  }
+}
+
+void ValueNeighborhoods::FillProbe(int attr, const TokenSet& probe) {
+  Sync(attr);
+  const AttrIndex& ix = attrs_[attr];
+  ProbeTable& table = probes_[attr];
+  if (table.overlap.size() < ix.indexed) {
+    table.overlap.resize(ix.indexed, 0);
+  }
+  // The walk Near does for a centre: both sets are deduplicated, so a value
+  // is met once per shared token.
+  for (Token t : probe) {
+    if (t >= ix.postings.size()) {
+      continue;  // No value of dom(attr) carries t.
+    }
+    for (ValueId v : ix.postings[t]) {
+      if (table.overlap[v]++ == 0) {
+        table.touched.push_back(v);
+      }
+    }
+  }
+  table.probe_size = probe.size();
+  table.filled = true;
+}
+
+void ValueNeighborhoods::EndProbe() {
+  for (ProbeTable& table : probes_) {
+    for (ValueId v : table.touched) {
+      table.overlap[v] = 0;
+    }
+    table.touched.clear();
+    table.filled = false;
   }
 }
 

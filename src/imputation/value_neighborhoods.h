@@ -31,6 +31,12 @@ namespace terids {
 /// posting index is extended on each lookup that sees a grown domain, and a
 /// new value drops only the cached lists of its posting-mates: it can enter
 /// no other near list, and the tail covers it everywhere else.
+///
+/// The same postings answer the determinant checks of an arrival
+/// (DESIGN.md §15): ProbeDistance reads the distance from an arriving
+/// tuple's value to any domain value out of a per-attribute overlap table,
+/// filled by one walk over the probe's token postings. Owned by one engine
+/// and used only on its imputing thread.
 class ValueNeighborhoods {
  public:
   /// `radius[x]` caps the usable dependent-interval hi on attribute x; pass
@@ -59,6 +65,34 @@ class ValueNeighborhoods {
   /// detect themselves.
   void Invalidate();
 
+  /// JaccardDistance(probe, value `vid` of dom(attr)), bit for bit. The
+  /// first call on `attr` since EndProbe counts |probe ∩ v| for every v
+  /// through the postings of the probe's tokens; every later call is a
+  /// table lookup. So `probe` must stay the same set on `attr` until
+  /// EndProbe, and the domain must not grow in between.
+  double ProbeDistance(int attr, const TokenSet& probe, ValueId vid) {
+    ProbeTable& table = probes_[attr];
+    if (!table.filled) {
+      FillProbe(attr, probe);
+    }
+    TERIDS_CHECK(vid < table.overlap.size());
+    const uint32_t inter = table.overlap[vid];
+    if (inter == 0) {
+      // Token-disjoint: 1 - 0/|union| is exactly 1.0, except that two
+      // empty sets are at distance 0.
+      return table.probe_size == 0 && repo_->value_tokens(attr, vid).empty()
+                 ? 0.0
+                 : 1.0;
+    }
+    // Same arithmetic as JaccardDistance.
+    const size_t uni =
+        table.probe_size + repo_->value_tokens(attr, vid).size() - inter;
+    return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+  }
+
+  /// Ends the probe: zeroes every overlap table through its touched list.
+  void EndProbe();
+
  private:
   using NearList = std::vector<std::pair<double, ValueId>>;
 
@@ -74,12 +108,22 @@ class ValueNeighborhoods {
     std::vector<uint8_t> built;
   };
 
+  /// Overlap table of one attribute for the current probe: |probe ∩ v| by
+  /// ValueId, nonzero only on `touched`.
+  struct ProbeTable {
+    bool filled = false;
+    size_t probe_size = 0;
+    std::vector<uint32_t> overlap;
+    std::vector<ValueId> touched;
+  };
+
   /// The near list of `vid` (distance < 1.0 and <= radius), built on first
   /// use.
   const NearList& Near(int attr, ValueId vid);
   /// Indexes values added to dom(attr) since the last lookup.
   void Sync(int attr);
   void Drop(AttrIndex* ix, ValueId vid);
+  void FillProbe(int attr, const TokenSet& probe);
   bool CoversTail(int attr, const Interval& dep) const {
     return radius_[attr] >= 1.0 && dep.Contains(1.0);
   }
@@ -94,6 +138,8 @@ class ValueNeighborhoods {
   /// Map-path scratch: near-list membership stamps.
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
+  /// Probe tables by attribute, kept apart from the build scratch above.
+  std::vector<ProbeTable> probes_;
 };
 
 }  // namespace terids

@@ -58,49 +58,6 @@ TEST_F(EngineBehaviorTest, ThreeStreamsMatchAcrossAnyTwo) {
   EXPECT_EQ(engine.results().size(), 3u);
 }
 
-TEST_F(EngineBehaviorTest, CddMemoProbeCountsBatchScopedRepeats) {
-  // The probe is opt-in since the PR-3 measurement found a near-zero hit
-  // rate; runs that want to re-measure flip it on explicitly.
-  config_.cdd_memo_probe = true;
-  TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
-  // Two incomplete arrivals with identical non-missing values and the same
-  // missing attribute share a determinant signature; a complete arrival
-  // never queries the probe.
-  const std::vector<std::string> incomplete = {"male", "blurred vision", "-",
-                                               "drug therapy"};
-  const std::vector<std::string> complete = {"female", "fever cough", "flu",
-                                             "rest"};
-  std::vector<Record> batch = {Post(1, 0, incomplete), Post(2, 0, complete),
-                               Post(3, 1, incomplete)};
-  CostBreakdown batch_cost;
-  for (ArrivalOutcome& out : engine.ProcessBatch(batch)) {
-    batch_cost.Add(out.cost);
-  }
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_queries, 2.0);
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_repeats, 1.0);
-  EXPECT_DOUBLE_EQ(batch_cost.cdd_memo_hit_rate(), 0.5);
-
-  // The probe is batch-scoped: replaying the same signature in a new batch
-  // is a fresh miss (a would-be cache would have been reset).
-  ArrivalOutcome replay = engine.ProcessArrival(Post(4, 0, incomplete));
-  EXPECT_DOUBLE_EQ(replay.cost.cdd_memo_queries, 1.0);
-  EXPECT_DOUBLE_EQ(replay.cost.cdd_memo_repeats, 0.0);
-}
-
-TEST_F(EngineBehaviorTest, CddMemoProbeOffByDefaultCountsNothing) {
-  TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
-  const std::vector<std::string> incomplete = {"male", "blurred vision", "-",
-                                               "drug therapy"};
-  CostBreakdown cost;
-  for (ArrivalOutcome& out : engine.ProcessBatch(
-           {Post(1, 0, incomplete), Post(2, 1, incomplete)})) {
-    cost.Add(out.cost);
-  }
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_queries, 0.0);
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_repeats, 0.0);
-  EXPECT_DOUBLE_EQ(cost.cdd_memo_hit_rate(), 0.0);
-}
-
 TEST_F(EngineBehaviorTest, SameStreamDuplicatesNeverPair) {
   TerIdsEngine engine(world_.repo.get(), config_, 2, rules_);
   const std::vector<std::string> diabetic = {
@@ -292,6 +249,75 @@ TEST_F(EngineBehaviorTest, AbsorbWidensNeighborhoodRadius) {
     EXPECT_EQ(got[0].candidates[i].vid, want[0].candidates[i].vid);
     EXPECT_EQ(got[0].candidates[i].prob, want[0].candidates[i].prob);
   }
+}
+
+TEST_F(EngineBehaviorTest, DisjointDeterminantsPassIntervalsUpToOne) {
+  // Symptoms 0.5..1 apart and similar treatments -> the same diagnosis.
+  // Token-disjoint symptoms (distance exactly 1.0) pass, identical ones
+  // fail. The treatment bound keeps the absorbed tuples below from pairing
+  // with any sample, so absorbing them widens nothing.
+  CddRule rule;
+  rule.dependent = 2;
+  rule.det_mask = (1u << 1) | (1u << 3);
+  rule.determinants = {{1, AttrConstraint::MakeInterval(0.5, 1.0)},
+                       {3, AttrConstraint::MakeInterval(0.0, 0.6)}};
+  rule.dep_interval = Interval::Of(0.0, 0.0);
+  rule.support = 1;
+  ImputeProbe engine(world_.repo.get(), config_, 2, {rule});
+  const std::vector<Record> probes = {
+      world_.Make(1, {"male", "loss of weight", "-", "insulin drug therapy"}),
+      // A present but token-empty symptom: 1.0 from every sample except a
+      // token-empty one, which is at 0.
+      world_.Make(2, {"male", "", "-", "bed rest"})};
+  ASSERT_TRUE(probes[1].values[1].tokens.empty());
+  ASSERT_FALSE(probes[1].values[1].missing);
+  auto expect_linear_candidates = [&]() {
+    RuleImputerOptions opts;
+    opts.max_candidates_per_attr = config_.max_candidates_per_attr;
+    opts.use_coord_filter = false;
+    RuleBasedImputer oracle(world_.repo.get(), engine.rules(), opts);
+    for (const Record& probe : probes) {
+      const auto got = engine.Impute(
+          probe, ProbeCoords::Compute(probe, *world_.repo), nullptr);
+      const auto want = oracle.ImputeRecord(probe, nullptr);
+      ASSERT_EQ(got.size(), want.size()) << "rid " << probe.rid;
+      for (size_t a = 0; a < want.size(); ++a) {
+        ASSERT_EQ(got[a].candidates.size(), want[a].candidates.size());
+        for (size_t i = 0; i < want[a].candidates.size(); ++i) {
+          EXPECT_EQ(got[a].candidates[i].vid, want[a].candidates[i].vid);
+          EXPECT_EQ(got[a].candidates[i].prob, want[a].candidates[i].prob);
+        }
+      }
+    }
+  };
+  // The first probe's imputed diagnoses, as text.
+  auto imputed = [&]() {
+    std::vector<std::string> texts;
+    const auto got = engine.Impute(
+        probes[0], ProbeCoords::Compute(probes[0], *world_.repo), nullptr);
+    for (const auto& attr : got) {
+      for (const ImputedTuple::Candidate& c : attr.candidates) {
+        texts.emplace_back(world_.repo->value_text(2, c.vid));
+      }
+    }
+    return texts;
+  };
+  expect_linear_candidates();
+  // Only "blurred vision" (disjoint from the probe) gets through.
+  EXPECT_EQ(imputed(), std::vector<std::string>{"diabetes"});
+
+  // The batch adds a symptom sharing the probe's tokens, 0.25 away (a table
+  // that missed the new value would read 1.0 and pass its diagnosis), and a
+  // token-empty symptom whose treatment only the second probe matches.
+  const size_t support = engine.rules()[0].support;
+  const std::vector<Record> batch = {
+      world_.Make(2000, {"male", "loss of weight fatigue", "diabetes type two",
+                         "insulin drug"}),
+      world_.Make(2001, {"female", "", "migraine", "bed rest"})};
+  ASSERT_TRUE(engine.AbsorbRepositoryBatch(batch).ok());
+  ASSERT_EQ(engine.rules()[0].support, support);  // Nothing paired.
+  expect_linear_candidates();
+  EXPECT_EQ(imputed(), std::vector<std::string>{"diabetes"});
 }
 
 TEST_F(EngineBehaviorTest, NoRulesMeansUnimputedButStillRunning) {

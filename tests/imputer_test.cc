@@ -269,6 +269,91 @@ TEST(ValueNeighborhoodsTest, WidenRadiusExtendsSlices) {
   EXPECT_EQ(freq.count(t2), 1u);
 }
 
+TEST(ValueNeighborhoodsTest, ProbeDistanceMatchesJaccardBitForBit) {
+  ToyWorld world = MakeHealthWorld();
+  const int d = world.repo->num_attributes();
+  std::mt19937_64 rng(20210620);
+  // Random sets over ids [0, 48): they overlap each other and the toy
+  // world's own tokens, and each attribute's domain misses many of them.
+  auto random_set = [&rng](size_t max_size) {
+    std::vector<Token> tokens;
+    const size_t n = rng() % (max_size + 1);
+    for (size_t i = 0; i < n; ++i) {
+      tokens.push_back(static_cast<Token>(rng() % 48));
+    }
+    return TokenSet::FromTokens(std::move(tokens));
+  };
+  for (int x = 0; x < d; ++x) {
+    world.repo->RegisterValue(x, TokenSet(), "");
+    for (int i = 0; i < 25; ++i) {
+      world.repo->RegisterValue(x, random_set(6), "v" + std::to_string(i));
+    }
+  }
+  ValueNeighborhoods neighborhoods(world.repo.get(),
+                                   std::vector<double>(d, 1.0));
+  CandidateCounter counter;
+  auto expect_exact = [&](int x, const TokenSet& probe) {
+    for (ValueId v = 0; v < world.repo->domain_size(x); ++v) {
+      EXPECT_EQ(Bits(neighborhoods.ProbeDistance(x, probe, v)),
+                Bits(JaccardDistance(probe, world.repo->value_tokens(x, v))))
+          << "attr=" << x << " v=" << v;
+    }
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<TokenSet> probes(d);
+    for (int x = 0; x < d; ++x) {
+      if (trial % 5 == 0) {
+        continue;  // Token-empty probe.
+      }
+      const TokenSet drawn = random_set(8);
+      std::vector<Token> tokens(drawn.begin(), drawn.end());
+      if (trial % 3 == 0) {
+        // Ids no domain value carries, past the end of every posting array.
+        tokens.push_back(static_cast<Token>(100000 + trial));
+        tokens.push_back(static_cast<Token>(100001 + trial));
+      }
+      probes[x] = TokenSet::FromTokens(std::move(tokens));
+    }
+    for (int x = 0; x < d; ++x) {
+      expect_exact(x, probes[x]);
+      // A near-list build in the middle of a probe must not disturb it.
+      const size_t n = world.repo->domain_size(x);
+      counter.Reset(n);
+      neighborhoods.AccumulateRange(x, static_cast<ValueId>(rng() % n),
+                                    Interval::Of(0.0, 0.9), &counter);
+      expect_exact(x, probes[x]);
+    }
+    neighborhoods.EndProbe();
+  }
+}
+
+TEST(ValueNeighborhoodsTest, ProbeTablesResetAndFollowDomainGrowth) {
+  ToyWorld world = MakeHealthWorld();
+  const int attr = 1;
+  Tokenizer tok(world.dict.get());
+  ValueNeighborhoods neighborhoods(
+      world.repo.get(), std::vector<double>(world.repo->num_attributes(), 1.0));
+  const TokenSet weight = tok.Tokenize("loss of weight");
+  const TokenSet fever = tok.Tokenize("fever");
+  const ValueId weight_vid = world.repo->sample_value_id(0, attr);
+  ASSERT_EQ(world.repo->value_tokens(attr, weight_vid), weight);
+  EXPECT_EQ(neighborhoods.ProbeDistance(attr, weight, weight_vid), 0.0);
+  neighborhoods.EndProbe();
+  // A second probe sees none of the first one's overlaps.
+  EXPECT_EQ(neighborhoods.ProbeDistance(attr, fever, weight_vid), 1.0);
+  neighborhoods.EndProbe();
+  // A value added between two probes, sharing a probe token, is reached
+  // through the posting index's growth check.
+  const ValueId grown = world.repo->RegisterValue(
+      attr, tok.Tokenize("weight gain"), "weight gain");
+  const double want =
+      JaccardDistance(weight, world.repo->value_tokens(attr, grown));
+  ASSERT_LT(want, 1.0);
+  EXPECT_EQ(Bits(neighborhoods.ProbeDistance(attr, weight, grown)), Bits(want));
+  EXPECT_EQ(neighborhoods.ProbeDistance(attr, weight, weight_vid), 0.0);
+  neighborhoods.EndProbe();
+}
+
 TEST(FinalizeCandidatesTest, CounterMatchesMapBitForBit) {
   struct Case {
     const char* name;
